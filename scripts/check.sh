@@ -5,7 +5,8 @@
 # lock-order detector armed (COLR_DEADLOCK_CHECK=ON), then the static
 # leg — project lint, the clang thread-safety/-Werror contract build
 # with clang-tidy, a full UBSan test run, and a high-iteration wire
-# fuzz under ASan+UBSan — then a smoke check that the sync-stats
+# fuzz under ASan+UBSan — then the layout, flash-crowd, serving and
+# portal-benchmark smokes, and a check that the sync-stats
 # instrumentation and deadlock hooks compile to a no-op when disabled. The clang pieces
 # skip with a clear message on hosts without clang/clang-tidy, so a
 # GCC-only host still runs everything else. Run from anywhere; builds
@@ -183,6 +184,15 @@ for c, row in sorted(rows.items()):
           f"p99 {row['p99_ms']:.1f} ms, {row['reconnects']} reconnects")
 print("net smoke OK")
 EOF
+
+echo "== perfbench: portal benchmark smoke =="
+# The portal benchmark builds the program's libraries from src/ with
+# its own CMake project (perfbench/CMakeLists.txt adds src/ as a
+# subdirectory), so a src/ CMake change can break it while the tier-1
+# build stays green. --smoke builds it and runs every workload tiny,
+# traced and untraced, with every output check; any failure exits
+# nonzero.
+python3 perfbench/run.py --smoke
 
 echo "== sync-stats: disabled-path overhead smoke =="
 # The instrumented guard with stats disabled is a relaxed load plus

@@ -185,6 +185,17 @@ SEEDED = {
         '#include "net/server.h"  // colr-lint: allow(layering)\n'
         "int use_server_waived();\n"
     ),
+    # A module missing from the layering map (say, a persistence
+    # layer added without a row) is flagged, and so is an include of
+    # it from a mapped module.
+    os.path.join("src", "durable", "log.h"): (
+        "#pragma once\n"
+        "int log_size();\n"
+    ),
+    os.path.join("src", "rtree", "uses_durable.cc"): (
+        '#include "durable/log.h"\n'
+        "int use_log();\n"
+    ),
     # A downward include (net -> core) is allowed: must NOT be
     # reported.
     os.path.join("src", "net", "good_layer.cc"): (
@@ -206,14 +217,20 @@ EXPECTED = [
     (os.path.join("src", "core", "bad_lock_edge.cc"), "lock-order"),
     (os.path.join("src", "core", "bad_guard_site.cc"), "lock-order"),
     (os.path.join("src", "core", "bad_layer.cc"), "layering"),
+    (os.path.join("src", "durable", "log.h"), "layering"),
+    (os.path.join("src", "rtree", "uses_durable.cc"), "layering"),
 ]
 
 # The lock-order rule must also *classify* correctly: the reversed
 # nesting is an inversion, the unlisted-but-acyclic nesting is an
-# undeclared edge. (file, required message substring).
+# undeclared edge. The layering rule reports an unmapped module and an
+# include of it separately. (file, required message substring).
 EXPECTED_SUBSTRINGS = [
     (os.path.join("src", "core", "bad_lock_order.cc"), "inversion"),
     (os.path.join("src", "core", "bad_lock_edge.cc"), "undeclared"),
+    (os.path.join("src", "durable", "log.h"), "not in the layering map"),
+    (os.path.join("src", "rtree", "uses_durable.cc"),
+     'must not include "durable/'),
 ]
 
 FORBIDDEN = [

@@ -367,12 +367,13 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
           n.level >= query.cluster_level) {
         // Early termination when the subtree is fully answerable from
         // its slot cache (§IV-B Lookup). Only at or below the result
-        // granularity, so multi-resolution groups stay distinct.
-        const int64_t cached =
-            tree_->CachedCount(id, now, query.staleness_ms);
-        if (cached >= n.Weight()) {
-          ColrTree::CacheLookup lookup =
-              tree_->LookupCache(id, now, query.staleness_ms);
+        // granularity, so multi-resolution groups stay distinct. One
+        // lookup decides and answers: a separate count under its own
+        // stripe lock could see a fuller cache than the lookup after
+        // a concurrent eviction or roll, and serve a short group.
+        ColrTree::CacheLookup lookup =
+            tree_->LookupCache(id, now, query.staleness_ms);
+        if (lookup.agg.count >= n.Weight()) {
           GroupResult& g = group_for(id);
           g.agg.Merge(lookup.agg);
           ++result.stats.cached_nodes_accessed;

@@ -194,21 +194,6 @@ class AggregateSlotCache {
     return out;
   }
 
-  /// Total cached reading count in slots strictly newer than
-  /// query_slot — |c_i| in Algorithm 1. Same snapshot-head discipline
-  /// as QueryNewerThan.
-  int64_t WeightNewerThan(const SlotScheme& scheme, SlotId query_slot) const {
-    const SlotId newest = scheme.newest();  // single atomic head read
-    const SlotId oldest = newest - scheme.num_slots() + 1;
-    const SlotId from = std::max(query_slot + 1, oldest);
-    int64_t w = 0;
-    for (SlotId s = from; s <= newest; ++s) {
-      const Slot& ring = slots_[scheme.RingIndex(s)];
-      if (ring.slot_id == s) w += ring.agg.count;
-    }
-    return w;
-  }
-
  private:
   struct Slot {
     SlotId slot_id = std::numeric_limits<SlotId>::min();

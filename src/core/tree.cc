@@ -585,29 +585,6 @@ ColrTree::CacheLookup ColrTree::LookupCache(int node_id, TimeMs now,
   return out;
 }
 
-int64_t ColrTree::CachedCount(int node_id, TimeMs now,
-                              TimeMs staleness_ms) const {
-  const Node& n = arena_.record(node_id);
-  if (n.IsLeaf()) {
-    int64_t c = 0;
-    SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                     SyncSite::kNodeStripe);
-    const LeafCacheTable& table = leaf_tables_[static_cast<size_t>(node_id)];
-    for (SensorId sid : table.cached_sensors) {
-      auto it = table.cached_readings.find(sid);
-      if (it != table.cached_readings.end() &&
-          it->second.ValidAt(now - staleness_ms)) {
-        ++c;
-      }
-    }
-    return c;
-  }
-  SyncTimedSharedLock<SharedMutex> node_lock(node_mutex_.For(node_id),
-                                                   SyncSite::kNodeStripe);
-  return caches_[static_cast<size_t>(node_id)].WeightNewerThan(
-      scheme_, QuerySlot(now, staleness_ms));
-}
-
 std::optional<Reading> ColrTree::CachedReading(SensorId sensor) const {
   if (sensor >= sensors_.size()) return std::nullopt;
   const int leaf = leaf_of_sensor_[sensor];

@@ -313,11 +313,6 @@ class ColrTree {
                           const Rect* region_filter = nullptr,
                           FreshnessRule rule = FreshnessRule::kExact) const;
 
-  /// Number of cached readings usable for the given freshness at a
-  /// node — the |c_i| term of Algorithm 1. Conservative (slot rule)
-  /// at internal nodes, exact at leaves.
-  int64_t CachedCount(int node_id, TimeMs now, TimeMs staleness_ms) const;
-
   /// Copy of the cached reading for a sensor (empty if none). The
   /// thread-safe replacement for store().Get().
   std::optional<Reading> CachedReading(SensorId sensor) const;

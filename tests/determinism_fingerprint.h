@@ -206,8 +206,9 @@ inline uint64_t QuiescentCacheFingerprint(const ColrTree& tree,
     fp.MixDouble(root.agg.min);
     fp.MixDouble(root.agg.max);
   }
-  fp.Mix(static_cast<uint64_t>(tree.CachedCount(tree.root(), now,
-                                                staleness)));
+  // Mixed a second time: the recorded fingerprint values include this
+  // term.
+  fp.Mix(static_cast<uint64_t>(root.agg.count));
   return fp.value();
 }
 

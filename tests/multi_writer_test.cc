@@ -5,13 +5,21 @@
 // load. These tests are the TSan face of the sharded write path — run
 // them under COLR_SANITIZE=thread via scripts/check.sh. Quiescent
 // state must be sequential-exact: every run ends in
-// CheckCacheConsistency(). The writer/roller loop itself lives in
-// tests/concurrent_harness.h; failures print the COLR_STRESS_SEED to
-// rerun with.
+// CheckCacheConsistency(), and exact engine queries running beside
+// the writers must count every in-region sensor. The writer/roller
+// loop itself lives in tests/concurrent_harness.h; failures print the
+// COLR_STRESS_SEED to rerun with.
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "concurrent_harness.h"
+#include "core/engine.h"
 #include "core/tree.h"
 #include "gtest/gtest.h"
+#include "sensor/network.h"
 
 namespace colr {
 namespace {
@@ -95,6 +103,91 @@ TEST(MultiWriterTest, WriteEpochAdvancesPerExclusiveSection) {
 
   ASSERT_TRUE(tree.CheckCacheConsistency().ok());  // exclusive audit
   EXPECT_GT(tree.write_epoch(), e1);
+}
+
+// Exact kHierCache queries racing a writer that keeps the cache at
+// capacity: replacements dip an internal node's count below its
+// weight while they propagate, and evictions take readings out of it.
+// Every answer must still account for every sensor in the region —
+// each one either served from a cache or probed. A node whose
+// fullness test and aggregate read come from two separate lookups
+// can pass the test on one snapshot and answer from a later, shorter
+// one, leaving the group a reading short with no probe issued.
+TEST(MultiWriterTest, ExactQueriesAccountForEverySensorUnderEviction) {
+  const uint64_t seed = ct::StressSeed(0x70A2CAC4Eull);
+  ct::SeedLogger log(seed);
+  const auto sensors = ct::GridSensors(1024, 4 * kMin);  // 33 x 33 grid
+  ColrTree tree(sensors, ct::StressTreeOptions(sensors.size() / 2));
+  SimClock clock;
+  const TimeMs now = 10 * kMin;
+  clock.SetMs(now);  // frozen: nothing expires and the window never rolls
+  tree.AdvanceTo(now);
+  SensorNetwork network(sensors, &clock);
+  ColrEngine::Options eopts;
+  eopts.mode = ColrEngine::Mode::kHierCache;
+  ColrEngine engine(&tree, &network, eopts);
+
+  // Half-integer edges keep every grid point off the boundary.
+  const Rect region = Rect::FromCorners(-0.5, -0.5, 20.5, 20.5);
+  int64_t in_region = 0;
+  for (const SensorInfo& s : sensors) in_region += region.Contains(s.location);
+  ASSERT_EQ(in_region, 21 * 21);
+  Query q;
+  q.region = QueryRegion::FromRect(region);
+  q.sample_size = 0;
+  q.cluster_level = 1;
+
+  constexpr int kReaders = 3;
+  constexpr int kQueriesPerReader = 150;
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> cache_served{0};
+  // Per reader: short answers seen, and the first one spelled out.
+  std::vector<int> shorts(kReaders, 0);
+  std::vector<std::string> first_short(kReaders);
+  std::thread writer([&] {
+    // Cycles the whole catalog: in-region sensors are replaced,
+    // out-of-region ones push the region's readings out by LRF.
+    for (int64_t i = 0; !done.load(std::memory_order_acquire); ++i) {
+      const SensorId id = static_cast<SensorId>(i % sensors.size());
+      tree.InsertReading(ct::StressReading(
+          sensors, id, now, ct::StressValue(seed, id, static_cast<int>(i))));
+    }
+  });
+  ct::RunThreads(kReaders, [&](int r) {
+    for (int i = 0; i < kQueriesPerReader; ++i) {
+      ExecutionContext ctx(engine.QuerySeed(
+          static_cast<uint64_t>(r) * kQueriesPerReader + i));
+      const QueryResult res = engine.Execute(q, ctx);
+      int64_t readings = 0;
+      for (const GroupResult& g : res.groups) readings += g.agg.count;
+      // Probe requests (issued, joined, reused or shed) that brought
+      // back no reading.
+      const QueryStats& st = res.stats;
+      const int64_t failed = st.sensors_probed + st.probes_coalesced +
+                             st.probes_reused + st.probes_shed -
+                             st.probe_successes;
+      cache_served.fetch_add(st.cached_agg_readings,
+                             std::memory_order_relaxed);
+      if (readings + failed != in_region && shorts[r]++ == 0) {
+        first_short[r] = std::to_string(readings) + " readings + " +
+                         std::to_string(failed) + " failed probes != " +
+                         std::to_string(in_region) + " sensors in region";
+      }
+    }
+  });
+  done.store(true, std::memory_order_release);
+  writer.join();
+
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(shorts[r], 0) << "reader " << r << " of " << kReaders
+                            << " x " << kQueriesPerReader
+                            << " queries; first: " << first_short[r];
+  }
+  // The race needs both sides: early-terminated internal nodes and a
+  // cache held at capacity.
+  EXPECT_GT(cache_served.load(), 0);
+  EXPECT_GT(tree.maintenance().readings_evicted.load(), 0);
+  EXPECT_TRUE(tree.CheckCacheConsistency().ok());
 }
 
 }  // namespace

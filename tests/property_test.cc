@@ -3,6 +3,7 @@
 // level, checked over randomized portal replays (TEST_P sweeps).
 
 #include <memory>
+#include <ostream>
 #include <tuple>
 
 #include "common/rng.h"
@@ -154,6 +155,14 @@ struct EngineCase {
   double availability;
   int sample_size;
 };
+
+// Names each case as <mode>_<staleness>min_avail<a>_k<sample size>.
+// Without it gtest prints the raw bytes of the struct, padding
+// included, so the discovered test names change from build to build.
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  *os << ColrEngine::ModeName(c.mode) << "_" << c.staleness / kMin
+      << "min_avail" << c.availability << "_k" << c.sample_size;
+}
 
 class EngineInvariantSweep
     : public ::testing::TestWithParam<EngineCase> {};

@@ -225,8 +225,8 @@ TEST(TimedReplayTest, ExpungeRacingLeafLookupIsRaceFree) {
         t.LookupCache(t.LeafOf(id), now, 2 * kMsPerMinute);
     sink += static_cast<uint64_t>(lookup.agg.count);
     if (t.CachedReading(id).has_value()) ++sink;
-    sink += static_cast<uint64_t>(t.CachedCount(
-        t.root(), now, 2 * kMsPerMinute));
+    sink += static_cast<uint64_t>(
+        t.LookupCache(t.root(), now, 2 * kMsPerMinute).agg.count);
     return sink;
   };
   const ct::WriterRollerOutcome run =

@@ -330,7 +330,6 @@ TEST(ColrTreeLookupTest, LeafLookupExactAndInternalConservative) {
   // permissive staleness.
   auto root_lookup = tree.LookupCache(tree.root(), now, 5 * kMin);
   EXPECT_EQ(root_lookup.agg.count, 1);
-  EXPECT_EQ(tree.CachedCount(tree.root(), now, 5 * kMin), 1);
 }
 
 TEST(ColrTreeLookupTest, InternalLookupNeverUsesExpiredOrStale) {
@@ -361,7 +360,7 @@ TEST(ColrTreeLookupTest, InternalLookupNeverUsesExpiredOrStale) {
       }
     }
     const int64_t conservative =
-        tree.CachedCount(tree.root(), now, staleness);
+        tree.LookupCache(tree.root(), now, staleness).agg.count;
     EXPECT_LE(conservative, exact) << "step " << step;
   }
 }
