@@ -6,6 +6,8 @@
 //   (iii) absolute probes per query — the "heel" of the COLR curve
 //        falls near a freshness of ~4 minutes
 //   (iv) absolute processing latency per query
+//   (v)  simulated data-collection latency per query: the query's one
+//        parallel probe round
 
 #include <cstdio>
 
@@ -54,12 +56,14 @@ int Main(int argc, char** argv) {
   const TimeMs freshness_minutes[] = {1, 2, 4, 8, 16};
   std::vector<std::string> json_rows;
 
-  std::printf("%-10s | %12s %12s | %12s %12s | %10s | %10s %10s %10s\n",
-              "freshness", "flat/colr", "hier/colr", "flat/colr",
-              "hier/colr", "colr", "flat", "hier", "colr");
-  std::printf("%-10s | %25s | %25s | %10s | %32s\n", "(min)",
+  std::printf(
+      "%-10s | %12s %12s | %12s %12s | %10s | %10s %10s %10s | %10s %10s "
+      "%10s\n",
+      "freshness", "flat/colr", "hier/colr", "flat/colr", "hier/colr", "colr",
+      "flat", "hier", "colr", "flat", "hier", "colr");
+  std::printf("%-10s | %25s | %25s | %10s | %32s | %32s\n", "(min)",
               "probe ratio (i)", "latency ratio (ii)", "probes(iii)",
-              "latency ms (iv)");
+              "latency ms (iv)", "collection ms (v)");
 
   for (TimeMs mins : freshness_minutes) {
     const TimeMs staleness = mins * kMsPerMinute;
@@ -74,13 +78,14 @@ int Main(int argc, char** argv) {
     const double colr_lat = std::max(colr.latency_ms.mean(), 1e-9);
     std::printf(
         "%-10lld | %12.1f %12.1f | %12.1f %12.1f | %10.1f | %10.3f "
-        "%10.3f %10.3f\n",
+        "%10.3f %10.3f | %10.1f %10.1f %10.1f\n",
         static_cast<long long>(mins), flat.probes.mean() / colr_probes,
         hier.probes.mean() / colr_probes,
         flat.latency_ms.mean() / colr_lat,
         hier.latency_ms.mean() / colr_lat, colr.probes.mean(),
         flat.latency_ms.mean(), hier.latency_ms.mean(),
-        colr.latency_ms.mean());
+        colr.latency_ms.mean(), flat.collection_ms.mean(),
+        hier.collection_ms.mean(), colr.collection_ms.mean());
     json_rows.push_back(
         JsonObject()
             .Field("freshness_min", static_cast<int64_t>(mins))
@@ -90,6 +95,9 @@ int Main(int argc, char** argv) {
             .Field("flat_latency_ms", flat.latency_ms.mean())
             .Field("hier_latency_ms", hier.latency_ms.mean())
             .Field("colr_latency_ms", colr.latency_ms.mean())
+            .Field("flat_collection_ms", flat.collection_ms.mean())
+            .Field("hier_collection_ms", hier.collection_ms.mean())
+            .Field("colr_collection_ms", colr.collection_ms.mean())
             .Done());
   }
   WriteJsonReport(cfg, "fig4_end_to_end", json_rows);

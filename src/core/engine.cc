@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -90,23 +89,22 @@ std::vector<Reading> ColrEngine::ProbeBatch(const std::vector<SensorId>& ids,
   acct->coalesced += static_cast<int64_t>(batch.coalesced);
   acct->reused += static_cast<int64_t>(batch.reused);
   acct->shed += static_cast<int64_t>(batch.shed);
-  acct->total_latency_ms += batch.latency_ms;
-  acct->max_batch_latency_ms =
-      std::max(acct->max_batch_latency_ms, batch.latency_ms);
+  acct->latency_ms = std::max(acct->latency_ms, batch.latency_ms);
   if (tracker_ != nullptr) {
     // Availability evidence covers exactly the probes *this query*
     // issued (coalesced/reused requests were someone else's probe —
     // recording them again would double-weight the EWMA). Successes
     // are identified by the issued readings; everything else issued
-    // failed. Count successes per sensor so a duplicated id records
-    // one outcome per occurrence (a positional first-match scan would
-    // mark every repeat a spurious failure and bias the EWMA low).
-    std::unordered_map<SensorId, int> successes;
-    for (const Reading& r : batch.issued_readings) ++successes[r.sensor];
+    // failed. They come back in issued order with the failures left
+    // out, so a forward walk pairs each with its own occurrence and a
+    // duplicated id records one outcome per occurrence (a first-match
+    // lookup would mark every repeat a spurious failure and bias the
+    // EWMA low).
+    size_t j = 0;
     for (SensorId id : batch.issued_ids) {
-      auto it = successes.find(id);
-      const bool ok = it != successes.end() && it->second > 0;
-      if (ok) --it->second;
+      const bool ok =
+          j < batch.issued_successes && batch.readings[j].sensor == id;
+      if (ok) ++j;
       tracker_->Record(id, ok);
     }
   }
@@ -120,7 +118,7 @@ void ColrEngine::FinishProbeStats(const ProbeAccounting& acct,
   stats->probes_coalesced = acct.coalesced;
   stats->probes_reused = acct.reused;
   stats->probes_shed = acct.shed;
-  stats->collection_latency_ms = acct.total_latency_ms;
+  stats->collection_latency_ms = acct.latency_ms;
   const double processing = elapsed_ms - acct.sim_wall_ms;
   // elapsed covers every interval sim_wall accumulated, so a negative
   // difference means the network wall-time accounting double-counted.
@@ -343,11 +341,30 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
 
   ProbeAccounting acct;
   std::vector<SensorId> touched;
-  // Query-wide ≤1-probe guard: the per-leaf batches below are built
+  // Query-wide ≤1-probe guard: the leaves' probe lists below are built
   // from disjoint leaf memberships today, but the contract is the
   // paper's, not the tree's — a sensor reachable under two visited
   // groups must still be probed (and counted) once.
   ProbeDeduper dedup;
+
+  // The descent only plans: every leaf's probe list goes into the
+  // query's one probe round, issued after the traversal. Each group's
+  // aggregation is replayed afterwards from these fold steps, in visit
+  // order — a subtree answered from its slot cache, or a leaf's cached
+  // values followed by its probed readings — so every group's
+  // floating-point sum matches a leaf-by-leaf execution.
+  struct FoldStep {
+    GroupResult* group;
+    /// End of this step's cached leaf values in `values`.
+    size_t values_end;
+    /// A subtree answered from its slot cache (empty for a leaf).
+    Aggregate subtree;
+  };
+  std::vector<FoldStep> steps;
+  std::vector<double> values;
+  std::vector<SensorId> round;
+  /// Per step: the end of its probe list in `round`.
+  std::vector<size_t> round_ends;
 
   if (tree_->root() >= 0 &&
       query.region.Intersects(tree_->node(tree_->root()).bbox)) {
@@ -374,8 +391,8 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
         ColrTree::CacheLookup lookup =
             tree_->LookupCache(id, now, query.staleness_ms);
         if (lookup.agg.count >= n.Weight()) {
-          GroupResult& g = group_for(id);
-          g.agg.Merge(lookup.agg);
+          steps.push_back({&group_for(id), values.size(), lookup.agg});
+          round_ends.push_back(round.size());
           ++result.stats.cached_nodes_accessed;
           result.stats.cached_agg_readings += lookup.agg.count;
           result.stats.slots_merged += lookup.slots_merged;
@@ -402,8 +419,7 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
         continue;
       }
 
-      // Leaf: serve from cache what we can, probe the rest.
-      std::vector<SensorId> to_probe;
+      // Leaf: serve from cache what we can, plan probes for the rest.
       GroupResult& g = group_for(id);
       if (use_cache) {
         const bool partial = !contained;
@@ -426,8 +442,7 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
           used.insert(sid);
           dedup.MarkServed(sid);
           const Reading& cached_reading = lookup.used_readings[i];
-          g.agg.Add(cached_reading.value);
-          AddToHistogram(query, cached_reading.value, &g);
+          values.push_back(cached_reading.value);
           touched.push_back(sid);
           if (query.return_readings) {
             result.served_from_cache.push_back(cached_reading);
@@ -443,7 +458,7 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
             continue;
           }
           if (used.count(sid) == 0 && dedup.Admit(sid)) {
-            to_probe.push_back(sid);
+            round.push_back(sid);
           }
         }
       } else {
@@ -453,21 +468,41 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
               !query.region.Contains(tree_->sensor(sid).location)) {
             continue;
           }
-          if (dedup.Admit(sid)) to_probe.push_back(sid);
+          if (dedup.Admit(sid)) round.push_back(sid);
         }
       }
-      if (!to_probe.empty()) {
-        std::vector<Reading> readings = ProbeBatch(to_probe, &acct);
-        for (const Reading& r : readings) {
-          g.agg.Add(r.value);
-          AddToHistogram(query, r.value, &g);
-        }
-        result.stats.result_size += static_cast<int64_t>(readings.size());
-        result.collected.insert(result.collected.end(), readings.begin(),
-                                readings.end());
-      }
+      steps.push_back({&g, values.size(), Aggregate{}});
+      round_ends.push_back(round.size());
     }
   }
+
+  std::vector<size_t> reading_ends;
+  if (!round.empty()) {
+    result.collected = ProbeBatch(round, &acct);
+    reading_ends = SplitRound(round, round_ends, result.collected);
+  }
+  const auto fold = [&](GroupResult& g, double value) {
+    g.agg.Add(value);
+    AddToHistogram(query, value, &g);
+  };
+  size_t v = 0;
+  size_t p = 0;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    GroupResult& g = *steps[i].group;
+    g.agg.Merge(steps[i].subtree);
+    for (; v < steps[i].values_end; ++v) fold(g, values[v]);
+    const size_t p_end = reading_ends.empty() ? 0 : reading_ends[i];
+    for (; p < p_end; ++p) fold(g, result.collected[p].value);
+  }
+  if (p < result.collected.size()) {
+    // Readings of joined or reused flights (concurrent queries only).
+    const RoundOwners owners(round, round_ends);
+    for (; p < result.collected.size(); ++p) {
+      const Reading& r = result.collected[p];
+      fold(*steps[owners.Of(r.sensor)].group, r.value);
+    }
+  }
+  result.stats.result_size += static_cast<int64_t>(result.collected.size());
 
   for (SensorId sid : touched) tree_->TouchCached(sid);
   if (use_cache) {

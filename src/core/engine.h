@@ -53,8 +53,9 @@ class ExecutionContext {
 ///   kColr      — the full system: slot caches + layered sampling.
 ///
 /// The engine is the boundary between query processing and data
-/// collection: it owns the probe batching (parallel within a batch),
-/// cache population with collected readings, and all instrumentation.
+/// collection: it gathers every sensor a query needs into one probe
+/// round (probed in parallel), populates the cache with the collected
+/// readings, and owns all instrumentation.
 ///
 /// Thread safety: the engine itself is an immutable plan/traversal
 /// core over thread-safe components. Execute(query, ctx) may be called
@@ -161,12 +162,10 @@ class ColrEngine {
     int64_t coalesced = 0;
     int64_t reused = 0;
     int64_t shed = 0;
-    /// Sum of the sequential batches' collection latencies (each
-    /// already the max over its parallel probes and joined flights) —
-    /// the query's total simulated data-collection time. A
-    /// single-batch query's total equals its max.
-    TimeMs total_latency_ms = 0;
-    TimeMs max_batch_latency_ms = 0;
+    /// Latency of the query's one probe round: the max over its
+    /// parallel probes and any joined flights — the query's simulated
+    /// data-collection time.
+    TimeMs latency_ms = 0;
     /// Wall-clock time spent inside the simulated network; excluded
     /// from processing_ms (a real deployment overlaps collection with
     /// processing, and the simulator's CPU cost is an artifact).
@@ -193,11 +192,14 @@ class ColrEngine {
     AtomicCounter<int64_t> result_size = 0;
   };
 
+  /// Sends one query's probe round through the scheduler — every
+  /// execution path calls this at most once per query — and records
+  /// its counters, latency and availability evidence in *acct.
   std::vector<Reading> ProbeBatch(const std::vector<SensorId>& ids,
                                   ProbeAccounting* acct);
 
   /// Moves a finished query's probe accounting into its stats
-  /// (collection latency = total over sequential batches; negative
+  /// (collection latency = the probe round's latency; negative
   /// processing skew surfaced, never silently clamped).
   static void FinishProbeStats(const ProbeAccounting& acct,
                                double elapsed_ms, QueryStats* stats);

@@ -6,6 +6,38 @@
 
 namespace colr {
 
+std::vector<size_t> SplitRound(const std::vector<SensorId>& ids,
+                               const std::vector<size_t>& id_ends,
+                               const std::vector<Reading>& readings) {
+  std::vector<size_t> ends(id_ends.size());
+  size_t j = 0;
+  size_t k = 0;
+  for (size_t o = 0; o < id_ends.size(); ++o) {
+    for (; k < id_ends[o]; ++k) {
+      if (j < readings.size() && readings[j].sensor == ids[k]) ++j;
+    }
+    ends[o] = j;
+  }
+  return ends;
+}
+
+RoundOwners::RoundOwners(const std::vector<SensorId>& ids,
+                         const std::vector<size_t>& id_ends) {
+  by_id_.reserve(ids.size());
+  for (size_t o = 0, k = 0; o < id_ends.size(); ++o) {
+    for (; k < id_ends[o]; ++k) {
+      by_id_.emplace_back(ids[k], static_cast<uint32_t>(o));
+    }
+  }
+  std::sort(by_id_.begin(), by_id_.end());
+}
+
+size_t RoundOwners::Of(SensorId id) const {
+  return std::lower_bound(by_id_.begin(), by_id_.end(),
+                          std::make_pair(id, uint32_t{0}))
+      ->second;
+}
+
 ProbeScheduler::ProbeScheduler(SensorNetwork* network, const Options& options)
     : ProbeScheduler(
           [network](const std::vector<SensorId>& ids) {
@@ -72,6 +104,7 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
   // see ColrEngine::ProbeBatch), so repeats go straight into the lead
   // batch.
   std::unordered_set<SensorId> leading;
+  leading.reserve(ids.size());
   std::vector<Reading> reused_readings;
 
   // Phase 1 — classify every occurrence, in request order, one stripe
@@ -136,6 +169,7 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
     // last success wins the cache slot; every occurrence still reached
     // the network).
     std::unordered_map<SensorId, const Reading*> success;
+    success.reserve(batch.readings.size());
     for (const Reading& r : batch.readings) success[r.sensor] = &r;
     for (SensorId sid : leading) {
       Stripe& st = StripeFor(sid);
@@ -153,8 +187,8 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
     }
     outstanding_.fetch_sub(lead.size(), std::memory_order_relaxed);
     out.issued_ids = std::move(lead);
-    out.readings = batch.readings;
-    out.issued_readings = std::move(batch.readings);
+    out.readings = std::move(batch.readings);
+    out.issued_successes = out.readings.size();
   }
 
   // Phase 3 — wait out the flights we joined and share their results.

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -19,11 +20,11 @@ namespace colr {
 
 /// Per-query guard for the paper's ≤1-probe contract *within* one
 /// query: ExecuteRange offers every probe candidate here before adding
-/// it to a leaf batch. The first offer of a sensor is admitted; any
-/// repeat (a sensor reachable under two visited groups, or already
-/// served from another group's cache slice) is dropped and counted, so
-/// one query can never probe — or double-count — the same sensor
-/// twice no matter how the visited groups overlap.
+/// it to the query's probe round. The first offer of a sensor is
+/// admitted; any repeat (a sensor reachable under two visited groups,
+/// or already served from another group's cache slice) is dropped and
+/// counted, so one query can never probe — or double-count — the same
+/// sensor twice no matter how the visited groups overlap.
 class ProbeDeduper {
  public:
   /// True exactly once per sensor id.
@@ -40,6 +41,31 @@ class ProbeDeduper {
  private:
   std::unordered_set<SensorId> seen_;
   int64_t duplicates_ = 0;
+};
+
+/// Splits one query-wide probe round among its owners. `ids` holds
+/// every owner's probe list back to back (owner i's ids end at
+/// id_ends[i]; ids are unique within the round) and `readings` is what
+/// the round returned. Issued readings come back in request order, so
+/// one forward walk attributes them: owner i's are readings[ends[i-1],
+/// ends[i]) of the returned ends. Readings past ends.back() came from
+/// joined or reused flights (concurrent callers only) in another order;
+/// RoundOwners attributes them by sensor id.
+std::vector<size_t> SplitRound(const std::vector<SensorId>& ids,
+                               const std::vector<size_t>& id_ends,
+                               const std::vector<Reading>& readings);
+
+/// Owner of each sensor id in one probe round (see SplitRound).
+class RoundOwners {
+ public:
+  RoundOwners(const std::vector<SensorId>& ids,
+              const std::vector<size_t>& id_ends);
+  /// The owner whose probe list holds `id`, which must be in the round.
+  size_t Of(SensorId id) const;
+
+ private:
+  /// (sensor id, owner), sorted by id.
+  std::vector<std::pair<SensorId, uint32_t>> by_id_;
 };
 
 /// The boundary between query execution and the sensor network: every
@@ -71,8 +97,8 @@ class ProbeDeduper {
 ///
 /// With all options at their defaults a single-threaded caller gets
 /// bit-identical behaviour to calling the network directly: every id
-/// leads its own probe, in request order, one network batch per call —
-/// the golden determinism fingerprints do not move.
+/// leads its own probe, in request order, so the network's RNG draws
+/// — and the golden determinism fingerprints — do not move.
 ///
 /// Locking: per-sensor state lives in fixed stripes (sensor id mod
 /// kStripes), each an annotated Mutex instrumented as
@@ -118,9 +144,9 @@ class ProbeScheduler {
   ProbeScheduler& operator=(const ProbeScheduler&) = delete;
 
   /// Result of one scheduled batch, with the probes partitioned by how
-  /// they were satisfied. readings = issued_readings ++ joined ++
-  /// reused; requested == issued_ids.size() + coalesced + reused +
-  /// shed always holds.
+  /// they were satisfied. readings = issued ++ joined ++ reused;
+  /// requested == issued_ids.size() + coalesced + reused + shed always
+  /// holds.
   struct BatchOutcome {
     /// Every reading collected for the caller (issued + joined +
     /// reused), issued ones first in network order.
@@ -128,10 +154,10 @@ class ProbeScheduler {
     /// Ids this call actually sent to the network, in request order
     /// (duplicate occurrences preserved — the network counts each).
     std::vector<SensorId> issued_ids;
-    /// The readings the network returned for issued_ids (subset of
-    /// `readings`); the caller's availability accounting covers
-    /// exactly these.
-    std::vector<Reading> issued_readings;
+    /// Length of the prefix of `readings` the network returned for
+    /// issued_ids (in issued_ids order, failures left out); the
+    /// caller's availability accounting covers exactly these.
+    size_t issued_successes = 0;
     size_t requested = 0;
     /// Requests that joined another query's in-flight probe.
     size_t coalesced = 0;
@@ -182,19 +208,23 @@ class ProbeScheduler {
   /// runtime-keyed association the static analysis cannot follow
   /// (same contract as StripedMutex; enforced by TSan).
   struct SensorState {
+    // The four flags lead so they share one word: states_ holds one
+    // entry per catalog sensor.
     /// A probe for this sensor is in the network right now.
     bool in_flight = false;
+    /// Last completed probe outcome (valid once has_result): success,
+    /// last_reading, last_latency_ms and last_done_ms.
+    bool has_result = false;
+    bool last_success = false;
+    /// Token bucket (lazily initialized to tokens_max on first use):
+    /// tokens and token_stamp_ms.
+    bool tokens_init = false;
     /// Completed-flight counter; joiners capture it at classification
     /// and wait until it advances.
     uint64_t flights_done = 0;
-    /// Last completed probe outcome (valid once has_result).
-    bool has_result = false;
-    bool last_success = false;
     Reading last_reading{};
     TimeMs last_latency_ms = 0;
     TimeMs last_done_ms = 0;
-    /// Token bucket (lazily initialized to tokens_max on first use).
-    bool tokens_init = false;
     double tokens = 0.0;
     TimeMs token_stamp_ms = 0;
   };

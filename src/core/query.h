@@ -140,9 +140,8 @@ struct QueryStats {
   /// the network wall-time accounting double-counted somewhere and
   /// tests assert it stays zero.
   double processing_skew_ms = 0.0;
-  /// Simulated data-collection latency: total over the query's
-  /// sequential probe batches (each batch already the max over its
-  /// parallel probes and joined flights).
+  /// Simulated data-collection latency of the query's one probe
+  /// round: the max over its parallel probes and joined flights.
   TimeMs collection_latency_ms = 0;
   /// Readings contributing to the result (probed successes + cached).
   int64_t result_size = 0;

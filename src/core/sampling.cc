@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/probe_scheduler.h"
+
 namespace colr {
 
 int ProbabilisticRound(double x, Rng& rng) {
@@ -50,17 +52,17 @@ class Runner {
       // Degenerate tree (leaf root) or a region covering everything
       // with a negative threshold: probe directly.
       ProcessTerminal(options_.target, tree_.root());
-      return result_;
+    } else {
+      heap_.push_back(QueueEntry{options_.target, tree_.root()});
+      while (!heap_.empty()) {
+        std::pop_heap(heap_.begin(), heap_.end(), EntryLess{});
+        QueueEntry entry = heap_.back();
+        heap_.pop_back();
+        if (entry.r < kMinTarget) continue;
+        Expand(entry);
+      }
     }
-
-    heap_.push_back(QueueEntry{options_.target, tree_.root()});
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), EntryLess{});
-      QueueEntry entry = heap_.back();
-      heap_.pop_back();
-      if (entry.r < kMinTarget) continue;
-      Expand(entry);
-    }
+    CollectRound();
     return std::move(result_);
   }
 
@@ -138,7 +140,32 @@ class Runner {
     }
   }
 
-  /// Handles a terminal node: consult the cache, oversample, probe.
+  /// Probes every terminal's picked sensors in one batch and hands
+  /// each terminal its readings. Deferring the probes past the descent
+  /// changes no sampling decision: REDISTRIBUTE credits each terminal's
+  /// expected contribution, never the readings it actually got.
+  void CollectRound() {
+    if (round_.empty()) return;
+    const std::vector<Reading> readings = probe_(round_);
+    const std::vector<size_t> ends = SplitRound(round_, round_ends_, readings);
+    size_t begin = 0;
+    for (size_t i = 0; i < ends.size(); ++i) {
+      result_.terminals[i].collected.assign(readings.begin() + begin,
+                                            readings.begin() + ends[i]);
+      begin = ends[i];
+    }
+    if (begin < readings.size()) {
+      // Readings of joined or reused flights (concurrent queries only).
+      const RoundOwners owners(round_, round_ends_);
+      for (size_t i = begin; i < readings.size(); ++i) {
+        result_.terminals[owners.Of(readings[i].sensor)].collected.push_back(
+            readings[i]);
+      }
+    }
+  }
+
+  /// Handles a terminal node: consult the cache, oversample, and pick
+  /// the sensors to probe (into the query's round; see CollectRound).
   /// Returns the expected contribution credited against the parent's
   /// target: the cached readings plus the expected number of
   /// successful probes. Crediting the *fractional* expectation (not
@@ -209,14 +236,11 @@ class Runner {
       credited_probes =
           std::min(scaled_need, static_cast<double>(candidates.size()));
       if (k > 0) {
-        std::vector<SensorId> picked;
-        picked.reserve(k);
         for (uint64_t idx :
              rng_.SampleWithoutReplacement(candidates.size(), k)) {
-          picked.push_back(candidates[idx]);
+          round_.push_back(candidates[idx]);
         }
         t.probes_attempted = k;
-        t.collected = probe_(picked);
       }
     }
 
@@ -227,6 +251,7 @@ class Runner {
         static_cast<double>(t.cached_count) +
         credited_probes * (options_.oversample ? availability : 1.0);
     result_.terminals.push_back(std::move(t));
+    round_ends_.push_back(round_.size());
     return fetched;
   }
 
@@ -270,6 +295,11 @@ class Runner {
   const LayeredSampler::ProbeFn& probe_;
   std::vector<QueueEntry> heap_;
   LayeredSampler::Result result_;
+  /// The query's one probe round: every terminal's picked sensors back
+  /// to back; terminal i's end at round_ends_[i]. Terminals cover
+  /// disjoint subtrees, so the round's ids are unique.
+  std::vector<SensorId> round_;
+  std::vector<size_t> round_ends_;
 };
 
 }  // namespace

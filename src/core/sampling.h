@@ -11,8 +11,9 @@
 namespace colr {
 
 /// Layered sampling (paper §V, Algorithm 1 + REDISTRIBUTE): a one-pass
-/// algorithm that selects and probes an application-specified number R
-/// of sensors *during* COLR-Tree range lookup, splitting the target
+/// algorithm that selects an application-specified number R of sensors
+/// *during* COLR-Tree range lookup and probes them all in one parallel
+/// round once the descent is done, splitting the target
 /// recursively among children in proportion to weight × overlap,
 /// deducting cached readings, oversampling by historical availability
 /// (exactly once per root-to-probe path), and redistributing shortfall
@@ -51,7 +52,7 @@ class LayeredSampler {
     /// deduction and oversampling).
     double target = 0.0;
     int probes_attempted = 0;
-    /// Readings obtained from probes.
+    /// Readings the query's probe round obtained for this terminal.
     std::vector<Reading> collected;
     /// Cached contribution: aggregate + count (exact readings at
     /// leaves, slot-rule aggregate at internal terminals).
@@ -75,8 +76,9 @@ class LayeredSampler {
   };
 
   /// Probes the given sensors and returns the successfully collected
-  /// readings. Supplied by the engine (wraps SensorNetwork and latency
-  /// accounting).
+  /// readings. Called at most once per Run, with every terminal's
+  /// picked sensors (the query's one probe round). Supplied by the
+  /// engine (wraps the probe scheduler and latency accounting).
   using ProbeFn =
       std::function<std::vector<Reading>(const std::vector<SensorId>&)>;
 

@@ -1,6 +1,7 @@
 #include "sensor/network.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -59,19 +60,35 @@ SensorNetwork::BatchResult SensorNetwork::ProbeBatch(
   batch.attempted = ids.size();
   ++counters_.batches;
   if (pool_ != nullptr && ids.size() >= options_.min_parallel_batch) {
-    // Parallel collection: every probe is independent; per-id slots
-    // keep the fold below identical to the sequential order.
-    std::vector<ProbeResult> results(ids.size());
+    // Parallel collection: every probe is independent and writes its
+    // own slot of `readings` (a failed probe leaves the slot's invalid
+    // sensor id); compacting the failures out in place keeps the
+    // sequential order without a second per-probe buffer.
+    batch.readings.resize(ids.size());
+    std::atomic<TimeMs> latency{0};
     const size_t grain = std::max<size_t>(
         4, ids.size() / (static_cast<size_t>(pool_->size()) * 4 + 1));
     pool_->ParallelFor(ids.size(), grain, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) results[i] = Probe(ids[i]);
+      TimeMs chunk_latency = 0;
+      for (size_t i = begin; i < end; ++i) {
+        ProbeResult r = Probe(ids[i]);
+        chunk_latency = std::max(chunk_latency, r.latency_ms);
+        if (r.success) batch.readings[i] = r.reading;
+      }
+      TimeMs seen = latency.load();
+      while (seen < chunk_latency &&
+             !latency.compare_exchange_weak(seen, chunk_latency)) {
+      }
     });
-    for (const ProbeResult& r : results) {
-      batch.latency_ms = std::max(batch.latency_ms, r.latency_ms);
-      if (r.success) batch.readings.push_back(r.reading);
-    }
+    batch.latency_ms = latency.load();
+    batch.readings.erase(
+        std::remove_if(batch.readings.begin(), batch.readings.end(),
+                       [](const Reading& r) {
+                         return r.sensor == kInvalidSensorId;
+                       }),
+        batch.readings.end());
   } else {
+    batch.readings.reserve(ids.size());
     for (SensorId id : ids) {
       ProbeResult r = Probe(id);
       batch.latency_ms = std::max(batch.latency_ms, r.latency_ms);

@@ -130,6 +130,10 @@ struct WriterRollerOptions {
   TimeMs step_ms = 20 * kMsPerSecond;
   /// false: writers free-run against a roller thread that advances the
   /// window as fast as it can (maximum interleaving — the TSan mode).
+  /// The roller starts once every writer has finished its first round,
+  /// so the whole catalog is cached at t = 0 before any reading can
+  /// expire: a slowed build (TSan) cannot let the roller run so far
+  /// ahead that the cache never reaches its capacity.
   /// true: a std::barrier paces every round — writer 0 advances to
   /// round * step_ms, the barrier opens, all writers insert that
   /// round's partition, and a second barrier closes the round. Every
@@ -217,7 +221,13 @@ inline WriterRollerOutcome RunWriterRollerStress(
         opts.step_ms;
   } else {
     std::atomic<TimeMs> last_tick{0};
+    std::atomic<int> first_rounds_done{0};
     std::thread roller([&] {
+      while (!done.load(std::memory_order_acquire) &&
+             first_rounds_done.load(std::memory_order_acquire) <
+                 opts.writers) {
+        std::this_thread::yield();
+      }
       TimeMs tick = 0;
       while (!done.load(std::memory_order_acquire)) {
         tick += opts.step_ms;
@@ -230,6 +240,9 @@ inline WriterRollerOutcome RunWriterRollerStress(
     RunThreads(opts.writers, [&](int w) {
       for (int round = 0; round < opts.rounds; ++round) {
         insert_round(w, round, now.load(std::memory_order_acquire));
+        if (round == 0) {
+          first_rounds_done.fetch_add(1, std::memory_order_release);
+        }
       }
     });
     done.store(true, std::memory_order_release);

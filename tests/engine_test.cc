@@ -20,14 +20,6 @@ struct ColrEngineTestPeer {
     return engine.ProbeBatch(ids, &acct);
   }
 
-  /// Same, but accumulating into a caller-held accounting context —
-  /// the shape of a query issuing sequential batches.
-  static std::vector<Reading> ProbeBatchInto(ColrEngine& engine,
-                                             const std::vector<SensorId>& ids,
-                                             Accounting* acct) {
-    return engine.ProbeBatch(ids, acct);
-  }
-
   static void FinishProbeStats(const Accounting& acct, double elapsed_ms,
                                QueryStats* stats) {
     ColrEngine::FinishProbeStats(acct, elapsed_ms, stats);
@@ -40,12 +32,14 @@ constexpr TimeMs kMin = kMsPerMinute;
 
 struct Rig {
   explicit Rig(int n, uint64_t seed, double availability = 1.0,
-               size_t capacity = 0)
+               size_t capacity = 0,
+               const SensorNetwork::Options& net = SensorNetwork::Options())
       : clock(60 * kMin) {
     Rng rng(seed);
     auto sensors = MakeUniformSensors(
         n, Rect::FromCorners(0, 0, 100, 100), 5 * kMin, availability, rng);
-    network = std::make_unique<SensorNetwork>(std::move(sensors), &clock);
+    network =
+        std::make_unique<SensorNetwork>(std::move(sensors), &clock, net);
     network->set_value_fn(
         [](const SensorInfo& s, TimeMs) { return s.location.x; });
     ColrTree::Options topts;
@@ -438,43 +432,51 @@ TEST(EngineProbeAccountingTest, DuplicateIdsOfDeadSensorAllFail) {
   EXPECT_LE(tracker->Estimate(2), AvailabilityTracker::Options().floor);
 }
 
-// Regression (collection-latency under-reporting): a query that
-// issues several sequential probe batches used to report only the
-// *largest* batch's latency as its collection latency. The accounting
-// now tracks both: total_latency_ms sums the sequential batches (what
-// collection_latency_ms reports), max_batch_latency_ms stays the max;
-// for a single-batch query the two coincide.
-TEST(EngineProbeAccountingTest, SequentialBatchesAccumulateTotalLatency) {
-  Rig rig(40, 32, /*availability=*/1.0);
-  auto engine = rig.Engine(ColrEngine::Mode::kColr);
+// Every query issues at most one probe round: an exact query's leaves
+// (kHierCache, kRTree) and a sampled query's terminals (kColr) all go
+// out in one network batch, and the query's collection latency is that
+// batch's latency. With a fixed 80 ms round trip and a 400 ms timeout,
+// a batch costs 80 ms when every probe succeeds and 400 ms when any
+// fails — never a sum over leaves or terminals.
+TEST(EngineProbeAccountingTest, EachQueryIssuesOneProbeRound) {
+  SensorNetwork::Options net;
+  net.probe_latency_base_ms = 80;
+  net.probe_latency_jitter_ms = 0;
+  net.probe_timeout_ms = 400;
+  Rig rig(600, 35, /*availability=*/0.9, /*capacity=*/0, net);
+  const auto run = [&](ColrEngine& engine, const Query& q) {
+    const int64_t before = rig.network->counters().batches.load();
+    QueryResult r = engine.Execute(q);
+    const int64_t batches = rig.network->counters().batches.load() - before;
+    if (r.stats.sensors_probed == 0) {
+      EXPECT_EQ(batches, 0);
+      EXPECT_EQ(r.stats.collection_latency_ms, 0);
+    } else {
+      EXPECT_EQ(batches, 1);
+      EXPECT_EQ(r.stats.collection_latency_ms,
+                r.stats.probe_successes < r.stats.sensors_probed ? 400 : 80);
+    }
+    return r;
+  };
+  const Rect region = Rect::FromCorners(10, 10, 90, 90);
 
-  ColrEngineTestPeer::Accounting acct;
-  ColrEngineTestPeer::ProbeBatchInto(*engine, {0, 1, 2, 3}, &acct);
-  const TimeMs first = acct.total_latency_ms;
-  EXPECT_GT(first, 0);
-  // Single batch: total == max.
-  EXPECT_EQ(acct.total_latency_ms, acct.max_batch_latency_ms);
+  // A sampled query on the cold cache probes under several terminals,
+  // still in one batch.
+  auto colr = rig.Engine(ColrEngine::Mode::kColr);
+  const QueryResult sampled = run(*colr, MakeQuery(region, 60));
+  int probing_terminals = 0;
+  for (const TerminalRecord& t : sampled.stats.terminals) {
+    probing_terminals += t.probes_attempted > 0;
+  }
+  EXPECT_GE(probing_terminals, 2);
 
-  ColrEngineTestPeer::ProbeBatchInto(*engine, {4, 5, 6, 7}, &acct);
-  const TimeMs second = acct.total_latency_ms - first;
-  EXPECT_GT(second, 0);
-  ColrEngineTestPeer::ProbeBatchInto(*engine, {8, 9}, &acct);
-  const TimeMs third = acct.total_latency_ms - first - second;
-  EXPECT_GT(third, 0);
-
-  // The total is the sum of the three batches, the max is the largest
-  // — and with three nonzero batches they must differ.
-  EXPECT_EQ(acct.max_batch_latency_ms,
-            std::max({first, second, third}));
-  EXPECT_GT(acct.total_latency_ms, acct.max_batch_latency_ms);
-  EXPECT_EQ(acct.requested, 10);
-  EXPECT_EQ(acct.attempted, 10);
-
-  // FinishProbeStats reports the total, not the max.
-  QueryStats stats;
-  ColrEngineTestPeer::FinishProbeStats(acct, /*elapsed_ms=*/1.0, &stats);
-  EXPECT_EQ(stats.collection_latency_ms, acct.total_latency_ms);
-  EXPECT_EQ(stats.sensors_probed, 10);
+  // Exact queries probe far more sensors than one leaf (capacity 8)
+  // holds; the kHierCache repeat is served mostly from its cache.
+  auto hier = rig.Engine(ColrEngine::Mode::kHierCache);
+  EXPECT_GT(run(*hier, MakeQuery(region)).stats.sensors_probed, 8 * 4);
+  run(*hier, MakeQuery(region));
+  auto rtree = rig.Engine(ColrEngine::Mode::kRTree);
+  EXPECT_GT(run(*rtree, MakeQuery(region)).stats.sensors_probed, 8 * 4);
 }
 
 // Regression (silent skew clamp): processing_ms used to be

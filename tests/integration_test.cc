@@ -188,22 +188,30 @@ TEST(IntegrationTest, SampleScalesToExactCount) {
   EXPECT_LT(rel_err.mean(), 4.0);
 }
 
-// Collection latency reflects parallel batches: a query's total is
-// the sum of its sequential per-leaf batches, each the *max* (not the
-// sum) of its parallel probes — so across the workload the aggregate
-// stays far below the serial per-probe cost.
+// Collection latency reflects one parallel round per query: every
+// sensor a query probes goes out in a single network batch, whose
+// latency is the *max* (not the sum) of its parallel probes — so
+// across the workload the aggregate stays far below the serial
+// per-probe cost.
 TEST(IntegrationTest, CollectionLatencyIsParallel) {
   LiveLocalWorkload w = SmallWorkload(7);
   Portal rtree(w, ColrEngine::Mode::kRTree, 1.0);
   int64_t total_probes = 0;
   TimeMs total_latency = 0;
   for (const auto& rec : w.queries) {
+    const int64_t batches_before = rtree.network->counters().batches.load();
     QueryResult r = rtree.Run(rec, 0);
+    const int64_t batches =
+        rtree.network->counters().batches.load() - batches_before;
     total_probes += r.stats.sensors_probed;
     total_latency += r.stats.collection_latency_ms;
-    // A query that probes at all waits out at least one full RTT.
+    // A query that probes at all waits out at least one full RTT, and
+    // costs exactly one network batch however many leaves it spans.
     if (r.stats.sensors_probed > 0) {
       EXPECT_GE(r.stats.collection_latency_ms, 80);
+      EXPECT_EQ(batches, 1);
+    } else {
+      EXPECT_EQ(batches, 0);
     }
   }
   ASSERT_GT(total_probes, 1000);

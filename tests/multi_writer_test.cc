@@ -37,7 +37,10 @@ TEST(MultiWriterTest, ConcurrentWritersRollerAndEvictionsStayConsistent) {
   const uint64_t seed = ct::StressSeed(0xC01A57E55ull);
   ct::SeedLogger log(seed);
   const auto sensors = ct::GridSensors(512, 4 * kMin);
-  // Capacity at half the catalog: steady-state eviction pressure.
+  // Capacity at half the catalog: steady-state eviction pressure. The
+  // harness writes one full round at t = 0 before the roller starts —
+  // twice the capacity in readings that cannot expire yet — so
+  // evictions are certain however far the roller then runs ahead.
   ColrTree tree(sensors, ct::StressTreeOptions(sensors.size() / 2));
   ASSERT_GE(tree.writer_shard_level(), 1) << "tree too shallow to shard";
 

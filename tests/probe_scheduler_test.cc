@@ -54,7 +54,7 @@ TEST(ProbeSchedulerTest, SequentialCallsPassThroughVerbatim) {
   EXPECT_EQ(backend_batches[0], (std::vector<SensorId>{0, 1, 1, 2}));
   EXPECT_EQ(out.issued_ids, (std::vector<SensorId>{0, 1, 1, 2}));
   EXPECT_EQ(out.readings.size(), 4u);
-  EXPECT_EQ(out.issued_readings.size(), 4u);
+  EXPECT_EQ(out.issued_successes, 4u);
   EXPECT_EQ(out.requested, 4u);
   EXPECT_EQ(out.coalesced, 0u);
   EXPECT_EQ(out.reused, 0u);
@@ -146,10 +146,11 @@ TEST(ProbeSchedulerTest, LockstepStreamsShareOneFlight) {
     EXPECT_DOUBLE_EQ(out.readings[0].value, 42.0);
     EXPECT_EQ(out.latency_ms, 250);
     if (out.issued_ids.size() == 1) {
+      EXPECT_EQ(out.issued_successes, 1u);
       ++leaders;
     } else if (out.coalesced == 1) {
       EXPECT_TRUE(out.issued_ids.empty());
-      EXPECT_TRUE(out.issued_readings.empty());
+      EXPECT_EQ(out.issued_successes, 0u);
       ++joiners;
     }
   }
@@ -294,6 +295,39 @@ TEST(ProbeSchedulerTest, AdmissionBoundShedsBeyondOutstandingCap) {
   out = sched.ProbeBatch({5, 6});
   EXPECT_EQ(out.issued_ids.size(), 2u);
   EXPECT_EQ(out.shed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// SplitRound / RoundOwners: one query-wide round split among its owners.
+// ---------------------------------------------------------------------------
+
+// Issued readings come back in request order with the failures left
+// out; owners with no probes or no successes get empty slices.
+TEST(SplitRoundTest, IssuedReadingsSplitInRequestOrder) {
+  const std::vector<SensorId> ids{4, 7, 1, 9, 3, 5};
+  const std::vector<size_t> id_ends{2, 2, 4, 6};
+  const std::vector<Reading> readings{
+      MakeReading(4, 0, 1.0), MakeReading(7, 0, 1.0), MakeReading(3, 0, 1.0)};
+  EXPECT_EQ(SplitRound(ids, id_ends, readings),
+            (std::vector<size_t>{2, 2, 2, 3}));
+}
+
+// Joined or reused readings follow the issued ones in another order:
+// the walk stops at the first one whose id it has passed, and
+// RoundOwners places the rest by sensor id.
+TEST(SplitRoundTest, JoinedReadingsGoToTheirOwnerById) {
+  const std::vector<SensorId> ids{4, 7, 1, 9, 3, 5};
+  const std::vector<size_t> id_ends{2, 4, 6};
+  // Issued: 7 and 3. Joined, in completion order: 4, 9.
+  const std::vector<Reading> readings{
+      MakeReading(7, 0, 1.0), MakeReading(3, 0, 1.0), MakeReading(4, 0, 1.0),
+      MakeReading(9, 0, 1.0)};
+  const std::vector<size_t> ends = SplitRound(ids, id_ends, readings);
+  EXPECT_EQ(ends, (std::vector<size_t>{1, 1, 2}));
+  const RoundOwners owners(ids, id_ends);
+  EXPECT_EQ(owners.Of(4), 0u);
+  EXPECT_EQ(owners.Of(9), 1u);
+  EXPECT_EQ(owners.Of(5), 2u);
 }
 
 // ---------------------------------------------------------------------------
