@@ -281,8 +281,8 @@ QueryResult ColrEngine::ExecuteColr(const Query& query, TimeMs now,
         result.served_from_cache.push_back(r);
       }
       AddToHistogram(query, r.value, &g);
-      tree_->TouchCached(t.cached_sensors[i]);
     }
+    tree_->TouchCached(t.cached_sensors);
     result.stats.cache_readings_used +=
         t.node_id >= 0 && tree_->node(t.node_id).IsLeaf() ? t.cached_count
                                                           : 0;
@@ -476,10 +476,10 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
     }
   }
 
-  std::vector<size_t> reading_ends;
+  std::vector<uint32_t> owner;
   if (!round.empty()) {
     result.collected = ProbeBatch(round, &acct);
-    reading_ends = SplitRound(round, round_ends, result.collected);
+    owner = SplitRound(round, round_ends, result.collected);
   }
   const auto fold = [&](GroupResult& g, double value) {
     g.agg.Add(value);
@@ -491,20 +491,17 @@ QueryResult ColrEngine::ExecuteRange(const Query& query, TimeMs now,
     GroupResult& g = *steps[i].group;
     g.agg.Merge(steps[i].subtree);
     for (; v < steps[i].values_end; ++v) fold(g, values[v]);
-    const size_t p_end = reading_ends.empty() ? 0 : reading_ends[i];
-    for (; p < p_end; ++p) fold(g, result.collected[p].value);
-  }
-  if (p < result.collected.size()) {
-    // Readings of joined or reused flights (concurrent queries only).
-    const RoundOwners owners(round, round_ends);
-    for (; p < result.collected.size(); ++p) {
-      const Reading& r = result.collected[p];
-      fold(*steps[owners.Of(r.sensor)].group, r.value);
+    for (; p < owner.size() && owner[p] == i; ++p) {
+      fold(g, result.collected[p].value);
     }
+  }
+  // Readings of joined or reused flights (concurrent queries only).
+  for (; p < owner.size(); ++p) {
+    fold(*steps[owner[p]].group, result.collected[p].value);
   }
   result.stats.result_size += static_cast<int64_t>(result.collected.size());
 
-  for (SensorId sid : touched) tree_->TouchCached(sid);
+  tree_->TouchCached(touched);
   if (use_cache) {
     for (const Reading& r : result.collected) tree_->InsertReading(r);
   }

@@ -6,36 +6,36 @@
 
 namespace colr {
 
-std::vector<size_t> SplitRound(const std::vector<SensorId>& ids,
-                               const std::vector<size_t>& id_ends,
-                               const std::vector<Reading>& readings) {
-  std::vector<size_t> ends(id_ends.size());
+std::vector<uint32_t> SplitRound(const std::vector<SensorId>& ids,
+                                 const std::vector<size_t>& id_ends,
+                                 const std::vector<Reading>& readings) {
+  std::vector<uint32_t> owner(readings.size());
   size_t j = 0;
   size_t k = 0;
   for (size_t o = 0; o < id_ends.size(); ++o) {
     for (; k < id_ends[o]; ++k) {
-      if (j < readings.size() && readings[j].sensor == ids[k]) ++j;
-    }
-    ends[o] = j;
-  }
-  return ends;
-}
-
-RoundOwners::RoundOwners(const std::vector<SensorId>& ids,
-                         const std::vector<size_t>& id_ends) {
-  by_id_.reserve(ids.size());
-  for (size_t o = 0, k = 0; o < id_ends.size(); ++o) {
-    for (; k < id_ends[o]; ++k) {
-      by_id_.emplace_back(ids[k], static_cast<uint32_t>(o));
+      if (j < readings.size() && readings[j].sensor == ids[k]) {
+        owner[j++] = static_cast<uint32_t>(o);
+      }
     }
   }
-  std::sort(by_id_.begin(), by_id_.end());
-}
-
-size_t RoundOwners::Of(SensorId id) const {
-  return std::lower_bound(by_id_.begin(), by_id_.end(),
-                          std::make_pair(id, uint32_t{0}))
-      ->second;
+  if (j == readings.size()) return owner;
+  // (sensor id, owner), sorted by id, for the joined or reused tail.
+  std::vector<std::pair<SensorId, uint32_t>> by_id;
+  by_id.reserve(ids.size());
+  for (size_t o = 0, i = 0; o < id_ends.size(); ++o) {
+    for (; i < id_ends[o]; ++i) {
+      by_id.emplace_back(ids[i], static_cast<uint32_t>(o));
+    }
+  }
+  std::sort(by_id.begin(), by_id.end());
+  for (; j < readings.size(); ++j) {
+    owner[j] = std::lower_bound(by_id.begin(), by_id.end(),
+                                std::make_pair(readings[j].sensor,
+                                               uint32_t{0}))
+                   ->second;
+  }
+  return owner;
 }
 
 ProbeScheduler::ProbeScheduler(SensorNetwork* network, const Options& options)
@@ -104,7 +104,6 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
   // see ColrEngine::ProbeBatch), so repeats go straight into the lead
   // batch.
   std::unordered_set<SensorId> leading;
-  leading.reserve(ids.size());
   std::vector<Reading> reused_readings;
 
   // Phase 1 — classify every occurrence, in request order, one stripe
@@ -169,7 +168,6 @@ ProbeScheduler::BatchOutcome ProbeScheduler::ProbeBatch(
     // last success wins the cache slot; every occurrence still reached
     // the network).
     std::unordered_map<SensorId, const Reading*> success;
-    success.reserve(batch.readings.size());
     for (const Reading& r : batch.readings) success[r.sensor] = &r;
     for (SensorId sid : leading) {
       Stripe& st = StripeFor(sid);

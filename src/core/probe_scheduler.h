@@ -43,30 +43,17 @@ class ProbeDeduper {
   int64_t duplicates_ = 0;
 };
 
-/// Splits one query-wide probe round among its owners. `ids` holds
-/// every owner's probe list back to back (owner i's ids end at
-/// id_ends[i]; ids are unique within the round) and `readings` is what
-/// the round returned. Issued readings come back in request order, so
-/// one forward walk attributes them: owner i's are readings[ends[i-1],
-/// ends[i]) of the returned ends. Readings past ends.back() came from
-/// joined or reused flights (concurrent callers only) in another order;
-/// RoundOwners attributes them by sensor id.
-std::vector<size_t> SplitRound(const std::vector<SensorId>& ids,
-                               const std::vector<size_t>& id_ends,
-                               const std::vector<Reading>& readings);
-
-/// Owner of each sensor id in one probe round (see SplitRound).
-class RoundOwners {
- public:
-  RoundOwners(const std::vector<SensorId>& ids,
-              const std::vector<size_t>& id_ends);
-  /// The owner whose probe list holds `id`, which must be in the round.
-  size_t Of(SensorId id) const;
-
- private:
-  /// (sensor id, owner), sorted by id.
-  std::vector<std::pair<SensorId, uint32_t>> by_id_;
-};
+/// Splits one query-wide probe round among its owners: returns the
+/// owner of each reading. `ids` holds every owner's probe list back to
+/// back (owner i's ids end at id_ends[i]; ids are unique within the
+/// round) and `readings` is what the round returned. Issued readings
+/// come first, in request order with the failures left out, so their
+/// owners never decrease and one forward walk attributes them.
+/// Readings after them came from joined or reused flights (concurrent
+/// callers only) in another order and are attributed by sensor id.
+std::vector<uint32_t> SplitRound(const std::vector<SensorId>& ids,
+                                 const std::vector<size_t>& id_ends,
+                                 const std::vector<Reading>& readings);
 
 /// The boundary between query execution and the sensor network: every
 /// engine probe goes through here (scripts/lint.py rule `probe-path`

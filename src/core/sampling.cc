@@ -147,20 +147,10 @@ class Runner {
   void CollectRound() {
     if (round_.empty()) return;
     const std::vector<Reading> readings = probe_(round_);
-    const std::vector<size_t> ends = SplitRound(round_, round_ends_, readings);
-    size_t begin = 0;
-    for (size_t i = 0; i < ends.size(); ++i) {
-      result_.terminals[i].collected.assign(readings.begin() + begin,
-                                            readings.begin() + ends[i]);
-      begin = ends[i];
-    }
-    if (begin < readings.size()) {
-      // Readings of joined or reused flights (concurrent queries only).
-      const RoundOwners owners(round_, round_ends_);
-      for (size_t i = begin; i < readings.size(); ++i) {
-        result_.terminals[owners.Of(readings[i].sensor)].collected.push_back(
-            readings[i]);
-      }
+    const std::vector<uint32_t> owner =
+        SplitRound(round_, round_ends_, readings);
+    for (size_t i = 0; i < readings.size(); ++i) {
+      result_.terminals[owner[i]].collected.push_back(readings[i]);
     }
   }
 

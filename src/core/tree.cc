@@ -218,17 +218,37 @@ void ColrTree::AdvanceTo(TimeMs now) {
   RollWindowLocked(needed);
 }
 
-void ColrTree::TouchCached(SensorId sensor) {
-  if (sensor >= sensors_.size()) return;
-  const int leaf = leaf_of_sensor_[sensor];
-  if (leaf < 0) return;
+void ColrTree::TouchCached(const std::vector<SensorId>& sensors) {
+  if (sensors.empty()) return;
   // Store mutations follow the writer protocol: shared epoch (so
   // rolls/expunges see a quiesced store) + the sensor's shard lock.
+  // One epoch pin covers the batch, and one shard lock covers each run
+  // of sensors in the same shard (a query lists its sensors leaf by
+  // leaf). Touches keep the given order, so the LRF sequence is the
+  // one a sensor-at-a-time loop would produce.
   SyncTimedSharedLock<EpochLatch> epoch_lock(epoch_latch_,
                                              SyncSite::kEpochShared);
-  SyncTimedLock<SharedMutex> shard_lock(shard_mutex_.For(ShardOf(leaf)),
-                                              SyncSite::kShardWriter);
-  StoreForLeaf(leaf).Touch(sensor);
+  const auto leaf_of = [&](SensorId sid) {
+    return sid < sensors_.size() ? leaf_of_sensor_[sid] : -1;
+  };
+  size_t i = 0;
+  while (i < sensors.size()) {
+    const int leaf = leaf_of(sensors[i]);
+    if (leaf < 0) {
+      ++i;
+      continue;
+    }
+    const int shard = ShardOf(leaf);
+    SyncTimedLock<SharedMutex> shard_lock(shard_mutex_.For(shard),
+                                          SyncSite::kShardWriter);
+    ReadingStore& store = StoreForLeaf(leaf);
+    for (; i < sensors.size(); ++i) {
+      const int l = leaf_of(sensors[i]);
+      if (l < 0) continue;
+      if (ShardOf(l) != shard) break;
+      store.Touch(sensors[i]);
+    }
+  }
 }
 
 size_t ColrTree::CachedReadingCount() const {

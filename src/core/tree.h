@@ -212,8 +212,11 @@ class ColrTree {
   /// periods don't leave stale slots in the window. Thread-safe.
   void AdvanceTo(TimeMs now) COLR_EXCLUDES(epoch_latch_);
 
-  /// Marks cached readings as fetched (LRF policy input). Thread-safe.
-  void TouchCached(SensorId sensor) COLR_EXCLUDES(epoch_latch_);
+  /// Marks cached readings as fetched (LRF policy input), in the given
+  /// order. Thread-safe; takes each shard's lock once per run of
+  /// consecutive sensors in that shard.
+  void TouchCached(const std::vector<SensorId>& sensors)
+      COLR_EXCLUDES(epoch_latch_);
 
   size_t CachedReadingCount() const;
 

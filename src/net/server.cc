@@ -131,6 +131,10 @@ QueryReply PortalServer::HandleRequest(const QueryRequest& request) {
     return reply;
   }
 
+  // Stamped before admission publishes the request in inflight(), so
+  // whoever sees it admitted also sees its arrival already taken.
+  const TimeMs arrival_ms = options_.clock->NowMs();
+
   // Admission: bound the admitted-but-unfinished population before the
   // request can occupy queue space. fetch_add-then-check keeps the
   // bound exact under races (two racers both see cur >= max and both
@@ -144,8 +148,6 @@ QueryReply PortalServer::HandleRequest(const QueryRequest& request) {
                     std::to_string(options_.max_inflight) + " in flight)";
     return reply;
   }
-
-  const TimeMs arrival_ms = options_.clock->NowMs();
 
   // Execute on the pool and wait: the wait is what creates a real
   // queue under overload (an open-loop client keeps sending on *other*

@@ -102,7 +102,7 @@ class PortalServer {
 
   /// Requests admitted and not yet answered.
   int64_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
+    return inflight_.load(std::memory_order_acquire);
   }
 
  private:

@@ -196,7 +196,7 @@ inline WriterRollerOutcome RunWriterRollerStress(
           StressReading(sensors, id, t, StressValue(opts.seed, id, round)));
       ++n;
       if (opts.touch_every > 0 && i % static_cast<size_t>(opts.touch_every) == 0) {
-        tree.TouchCached(id);
+        tree.TouchCached({id});
       }
     }
     inserts.fetch_add(n, std::memory_order_relaxed);

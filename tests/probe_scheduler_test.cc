@@ -298,36 +298,32 @@ TEST(ProbeSchedulerTest, AdmissionBoundShedsBeyondOutstandingCap) {
 }
 
 // ---------------------------------------------------------------------------
-// SplitRound / RoundOwners: one query-wide round split among its owners.
+// SplitRound: one query-wide round split among its owners.
 // ---------------------------------------------------------------------------
 
 // Issued readings come back in request order with the failures left
-// out; owners with no probes or no successes get empty slices.
+// out; owners with no probes or no successes get no readings.
 TEST(SplitRoundTest, IssuedReadingsSplitInRequestOrder) {
   const std::vector<SensorId> ids{4, 7, 1, 9, 3, 5};
   const std::vector<size_t> id_ends{2, 2, 4, 6};
   const std::vector<Reading> readings{
       MakeReading(4, 0, 1.0), MakeReading(7, 0, 1.0), MakeReading(3, 0, 1.0)};
   EXPECT_EQ(SplitRound(ids, id_ends, readings),
-            (std::vector<size_t>{2, 2, 2, 3}));
+            (std::vector<uint32_t>{0, 0, 3}));
 }
 
 // Joined or reused readings follow the issued ones in another order:
-// the walk stops at the first one whose id it has passed, and
-// RoundOwners places the rest by sensor id.
+// the walk stops at the first one whose id it has passed, and the
+// rest go to their owner by sensor id.
 TEST(SplitRoundTest, JoinedReadingsGoToTheirOwnerById) {
   const std::vector<SensorId> ids{4, 7, 1, 9, 3, 5};
   const std::vector<size_t> id_ends{2, 4, 6};
-  // Issued: 7 and 3. Joined, in completion order: 4, 9.
+  // Issued: 7 and 3. Joined, in completion order: 4, 9, 5.
   const std::vector<Reading> readings{
       MakeReading(7, 0, 1.0), MakeReading(3, 0, 1.0), MakeReading(4, 0, 1.0),
-      MakeReading(9, 0, 1.0)};
-  const std::vector<size_t> ends = SplitRound(ids, id_ends, readings);
-  EXPECT_EQ(ends, (std::vector<size_t>{1, 1, 2}));
-  const RoundOwners owners(ids, id_ends);
-  EXPECT_EQ(owners.Of(4), 0u);
-  EXPECT_EQ(owners.Of(9), 1u);
-  EXPECT_EQ(owners.Of(5), 2u);
+      MakeReading(9, 0, 1.0), MakeReading(5, 0, 1.0)};
+  EXPECT_EQ(SplitRound(ids, id_ends, readings),
+            (std::vector<uint32_t>{0, 2, 0, 1, 2}));
 }
 
 // ---------------------------------------------------------------------------

@@ -192,6 +192,37 @@ TEST(ColrTreeCacheTest, CapacityEvictionKeepsAggregatesConsistent) {
   EXPECT_TRUE(tree.CheckCacheConsistency().ok());
 }
 
+// A touched list spans several leaves and shards; its sensors become
+// the most recently fetched, in list order, and ids outside the
+// catalog are skipped.
+TEST(ColrTreeCacheTest, TouchedListIsFetchedInListOrder) {
+  auto sensors = MakeSensors(64, 13);
+  ColrTree tree(sensors, SmallTreeOptions(/*capacity=*/40));
+  for (SensorId sid = 0; sid < 40; ++sid) {
+    tree.InsertReading(ReadingFor(sensors[sid], 0, 1.0));
+  }
+  std::vector<SensorId> touched{static_cast<SensorId>(sensors.size() + 5)};
+  for (SensorId sid = 38;; sid -= 2) {
+    touched.push_back(sid);
+    if (sid == 0) break;
+  }
+  tree.TouchCached(touched);
+
+  // One slot holds everything: the 20 untouched sensors are the least
+  // recently fetched, then the touched ones from the front of the list.
+  for (SensorId sid = 40; sid < 61; ++sid) {
+    tree.InsertReading(ReadingFor(sensors[sid], 0, 1.0));
+  }
+  for (SensorId sid = 1; sid < 40; sid += 2) {
+    EXPECT_FALSE(tree.CachedReading(sid).has_value()) << sid;
+  }
+  EXPECT_FALSE(tree.CachedReading(38).has_value());
+  for (SensorId sid = 0; sid < 38; sid += 2) {
+    EXPECT_TRUE(tree.CachedReading(sid).has_value()) << sid;
+  }
+  EXPECT_TRUE(tree.CheckCacheConsistency().ok());
+}
+
 TEST(ColrTreeCacheTest, WindowRollExpungesExpired) {
   auto sensors = MakeSensors(50, 13);
   ColrTree tree(sensors, SmallTreeOptions());
